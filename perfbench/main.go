@@ -54,7 +54,6 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "input seed")
 	flag.Float64Var(&secs, "seconds", 10, "measured run length in seconds")
 	flag.IntVar(&traceFlag, "trace", 0, "1: traced run printing the per-layer metrics")
-	flag.BoolVar(&o.short, "short", false, "tiny inputs: the self-test size")
 	flag.Float64Var(&o.rate, "incident-rate", 100000, "incident's offered load in events/s, all streams together")
 	flag.StringVar(&o.workdir, "workdir", ".bench_build", "directory for temporary files and spans")
 	flag.Parse()

@@ -11,7 +11,6 @@ import (
 	"runtime/debug"
 	rtmetrics "runtime/metrics"
 	"sort"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -172,32 +171,56 @@ func cpuNs() int64 {
 	return ru.Utime.Nano() + ru.Stime.Nano()
 }
 
-// resetPeakRSS collects garbage, returns freed memory to the OS and
-// resets the kernel's resident high-water mark, so that VmHWM read after
-// the timed region reflects that region, not the set-up before it.
-func resetPeakRSS() {
-	debug.FreeOSMemory()
-	os.WriteFile("/proc/self/clear_refs", []byte("5"), 0)
+// peakMem samples the memory the Go runtime holds for the process —
+// everything it has mapped minus what it has released to the OS — every
+// 5 ms, and keeps the peak. It leaves out the benchmark's own inputs and
+// timestamp tables, which live off the Go heap (see offHeap), so that it
+// measures the system under test and not how much input a run replays.
+type peakMem struct {
+	stop    chan struct{}
+	done    chan struct{}
+	peak    uint64
+	samples int
 }
 
-// peakRSSMB reads the process's resident high-water mark (VmHWM).
-func peakRSSMB() float64 {
-	b, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return 0
-	}
-	for _, line := range strings.Split(string(b), "\n") {
-		if v, ok := strings.CutPrefix(line, "VmHWM:"); ok {
-			f := strings.Fields(v)
-			if len(f) > 0 {
-				kb, err := strconv.ParseFloat(f[0], 64)
-				if err == nil {
-					return kb / 1024
-				}
+// startPeakMem collects garbage and returns freed memory to the OS, so
+// that what set-up left behind does not count, then starts sampling.
+func startPeakMem() *peakMem {
+	debug.FreeOSMemory()
+	p := &peakMem{stop: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(p.done)
+		s := []rtmetrics.Sample{
+			{Name: "/memory/classes/total:bytes"},
+			{Name: "/memory/classes/heap/released:bytes"},
+		}
+		sample := func() {
+			rtmetrics.Read(s)
+			if held := s[0].Value.Uint64() - s[1].Value.Uint64(); held > p.peak {
+				p.peak = held
+			}
+			p.samples++
+		}
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		for sample(); ; sample() {
+			select {
+			case <-p.stop:
+				sample()
+				return
+			case <-tick.C:
 			}
 		}
-	}
-	return 0
+	}()
+	return p
+}
+
+// end takes a last sample, stops sampling and returns the peak in MB and
+// the number of samples it is the maximum of.
+func (p *peakMem) end() (mb float64, samples int) {
+	close(p.stop)
+	<-p.done
+	return float64(p.peak) / (1 << 20), p.samples
 }
 
 // quantile returns the q-quantile of xs by linear interpolation between

@@ -57,9 +57,10 @@ func incidentSpec() serveSpec {
 // the daemon recorded for it.
 type streamClock struct {
 	name string
-	// closeNs[b] is when the first event with TS >= b·window was due
-	// (open loop) or handed to the writer (closed loop): the moment the
-	// window ending at b·window could be decided.
+	// closeNs[b] is when the first event with TS >= b·window was due: the
+	// moment the window ending at b·window could be decided. Only the open
+	// loop has due times; closed-loop streams leave it empty and measure
+	// no decision latency.
 	closeNs []atomic.Int64
 	// endNs is when the client closed the stream, which is what closes
 	// the final, flushed window.
@@ -68,7 +69,7 @@ type streamClock struct {
 	// Written by the stream's scoring goroutine only, read after the
 	// stream has closed.
 	recorded []int   // indices of windows the daemon recorded
-	latNs    []int64 // decision latency of each recorded window
+	latNs    []int64 // decision latency of each recorded window (open loop)
 	closedNs atomic.Int64
 }
 
@@ -92,8 +93,9 @@ type timedSink struct {
 }
 
 func (s *timedSink) Record(w window.Window) error {
-	now := obs.Now()
-	s.c.latNs = append(s.c.latNs, now-s.c.closing(w.End, s.win))
+	if len(s.c.closeNs) > 0 {
+		s.c.latNs = append(s.c.latNs, obs.Now()-s.c.closing(w.End, s.win))
+	}
 	s.c.recorded = append(s.c.recorded, w.Index)
 	return s.Sink.Record(w)
 }
@@ -151,6 +153,7 @@ func setupServe(spec serveSpec, in *inputs, dir string, clocks map[string]*strea
 		Cfg:          spec.cfg,
 		Learned:      learned,
 		Backpressure: serve.Block,
+		QueueLen:     serveQueueLen,
 		Sinks:        factory,
 		Anomalies:    env.store,
 		Alerts:       env.alerts,
@@ -201,20 +204,16 @@ func dialClient(addr string, c *streamClock, rd *replay, win time.Duration) (*cl
 	return &client{c: c, rd: rd, fw: fw, conn: conn, win: win}, nil
 }
 
-// send writes the stream's next event and stamps the window boundaries
-// it crosses with stamp; 0 means "now", read only when the event opens a
-// new window, so the closed loop pays one clock read per window.
-func (cl *client) send(stamp int64) error {
+// send writes the stream's next event, due at due, and stamps the window
+// boundaries it crosses with due (when the stream keeps a closeNs table).
+func (cl *client) send(due int64) error {
 	ev, err := cl.rd.Next()
 	if err != nil {
 		return err
 	}
 	if b := int(ev.TS / cl.win); cl.nextB <= b && cl.nextB < len(cl.c.closeNs) {
-		if stamp == 0 {
-			stamp = obs.Now()
-		}
 		for ; cl.nextB <= b && cl.nextB < len(cl.c.closeNs); cl.nextB++ {
-			cl.c.closeNs[cl.nextB].Store(stamp)
+			cl.c.closeNs[cl.nextB].Store(due)
 		}
 	}
 	cl.events++
@@ -281,17 +280,19 @@ func openLoop(cls []*client, rate float64, start, limit int64) ([]int64, error) 
 // serveOutcome is what a timed serve run leaves for the oracle and the
 // metrics.
 type serveOutcome struct {
-	sent     []int64
-	wallNs   int64
-	cpuNs    int64
-	gcNs     int64
-	rssMB    float64
-	stats    serve.StatsReport
-	results  []serve.StreamResult
-	books    *alert.Books
-	lateNs   []int64
-	latNs    []int64
-	problems []string
+	sent   []int64
+	wallNs int64
+	cpuNs  int64
+	gcNs   int64
+	// peak Go-runtime memory over the timed region (see peakMem)
+	memMB      float64
+	memSamples int
+	stats      serve.StatsReport
+	results    []serve.StreamResult
+	books      *alert.Books
+	lateNs     []int64
+	latNs      []int64
+	problems   []string
 	// queue samples (trace mode only)
 	qSamples, qFull, qEmpty int
 }
@@ -348,6 +349,7 @@ func runServe(spec serveSpec, env *serveEnv, in *inputs, o options, sampleQueues
 		cls[i] = cl
 	}
 	errs := make([]error, numStreams+1)
+	mem := startPeakMem()
 	cpu0, gc0 := cpuNs(), gcCPUNs()
 	start := obs.Now()
 	deadline := start + o.seconds.Nanoseconds()
@@ -396,7 +398,7 @@ func runServe(spec serveSpec, env *serveEnv, in *inputs, o options, sampleQueues
 		}
 	}
 	out.wallNs = end - start
-	out.rssMB = peakRSSMB()
+	out.memMB, out.memSamples = mem.end()
 	close(stopSamp)
 	sampWG.Wait()
 
@@ -428,7 +430,8 @@ func runServe(spec serveSpec, env *serveEnv, in *inputs, o options, sampleQueues
 // flushEvery is the open-loop client's flush period.
 const flushEvery = time.Millisecond
 
-// serveQueueLen is the daemon's default per-stream queue capacity.
+// serveQueueLen is the daemon's per-stream queue capacity, set in
+// serve.Options and the threshold of serve.queue_full_frac.
 const serveQueueLen = 1024
 
 func streamName(workload string, i int) string { return fmt.Sprintf("%s-%d", workload, i) }

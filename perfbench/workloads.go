@@ -79,12 +79,13 @@ func runServeWorkload(o options, dir string) (*workloadResult, error) {
 
 	clocks := make(map[string]*streamClock)
 	for i := 0; i < numStreams; i++ {
-		name := streamName(o.workload, i)
-		closeNs, err := offHeap[atomic.Int64](int(in.perStream/25 + 1024))
-		if err != nil {
-			return nil, err
+		c := &streamClock{name: streamName(o.workload, i)}
+		if spec.openLoop {
+			if c.closeNs, err = offHeap[atomic.Int64](int(in.perStream/25 + 1024)); err != nil {
+				return nil, err
+			}
 		}
-		clocks[name] = &streamClock{name: name, closeNs: closeNs}
+		clocks[c.name] = c
 	}
 	t0 = phase("inputs", t0)
 	var setupS, learnS []float64
@@ -101,7 +102,6 @@ func runServeWorkload(o options, dir string) (*workloadResult, error) {
 		}
 		env = e
 	}
-	resetPeakRSS()
 	t0 = phase("setup", t0)
 	out := runServe(spec, env, in, o, o.trace)
 	t0 = phase("run", t0)
@@ -120,8 +120,13 @@ func runServeWorkload(o options, dir string) (*workloadResult, error) {
 	m := newMetrics()
 	m.set("events_per_s", float64(scored)/seconds(out.wallNs), "1/s", int(scored))
 	m.set("cpu_ns_per_event", float64(out.cpuNs)/float64(scored), "ns", int(scored))
-	m.set("decide_p50_ms", nsQuantileMs(out.latNs, 0.50), "ms", len(out.latNs))
-	m.set("decide_p99_ms", nsQuantileMs(out.latNs, 0.99), "ms", len(out.latNs))
+	if spec.openLoop {
+		m.set("decide_p50_ms", nsQuantileMs(out.latNs, 0.50), "ms", len(out.latNs))
+		m.set("decide_p99_ms", nsQuantileMs(out.latNs, 0.99), "ms", len(out.latNs))
+		if len(out.latNs) == 0 && !o.short {
+			problems = append(problems, "no recorded window: decision latency undefined")
+		}
+	}
 	if out.stats.RecordedBytes > 0 {
 		m.set("reduction_x", float64(out.stats.FullBytes)/float64(out.stats.RecordedBytes), "x", int(out.stats.RecordedWindows))
 	} else {
@@ -131,10 +136,7 @@ func runServeWorkload(o options, dir string) (*workloadResult, error) {
 	m.set("recall", recall, "ratio", qn)
 	m.set("precision", precision, "ratio", qn)
 	m.set("setup_s", median(setupS), "s", len(setupS))
-	m.set("peak_rss_mb", out.rssMB, "MB", 1)
-	if len(out.latNs) == 0 && !o.short {
-		problems = append(problems, "no recorded window: decision latency undefined")
-	}
+	m.set("peak_rss_mb", out.memMB, "MB", out.memSamples)
 
 	failed := dropped
 	extra := map[string]any{
@@ -385,11 +387,11 @@ func runOfflineWorkload(o options, dir string) (*workloadResult, error) {
 		setupS = append(setupS, seconds(obs.Now()-t0))
 	}
 	closeBuf := make([]int64, int(length/cfg.WindowDuration)+2)
-	resetPeakRSS()
 	t0 = phase("setup", t0)
 
 	var passes []*offlinePass
 	var wallNs int64
+	mem := startPeakMem()
 	cpu0, gc0 := cpuNs(), gcCPUNs()
 	start := obs.Now()
 	for len(passes) == 0 || obs.Now()-start < o.seconds.Nanoseconds() {
@@ -402,7 +404,7 @@ func runOfflineWorkload(o options, dir string) (*workloadResult, error) {
 	wallNs = obs.Now() - start
 	cpu := cpuNs() - cpu0
 	gc := gcCPUNs() - gc0
-	rss := peakRSSMB()
+	memMB, memSamples := mem.end()
 
 	t0 = phase("run", t0)
 	problems := checkOffline(cfg, learned, etrc, in.offlineEvents, passes)
@@ -429,7 +431,7 @@ func runOfflineWorkload(o options, dir string) (*workloadResult, error) {
 	m.set("recall", rep.Recall, "ratio", rep.TruthWindows)
 	m.set("precision", rep.Precision, "ratio", rep.ScoredAnomalousWindows)
 	m.set("setup_s", median(setupS), "s", len(setupS))
-	m.set("peak_rss_mb", rss, "MB", 1)
+	m.set("peak_rss_mb", memMB, "MB", memSamples)
 
 	extra := map[string]any{
 		"failed_frac":     float64(len(problems)) / float64(events),
