@@ -7,8 +7,9 @@
 //
 //   - Observe must be safe from any goroutine with no lock (the ingest and
 //     scoring goroutines of every stream write concurrently);
-//   - Observe must allocate nothing (it runs once per event on a path that
-//     is otherwise allocation-free);
+//   - Observe must allocate nothing (it runs on the event path, which is
+//     otherwise allocation-free) and stay cheap: the serve path records a
+//     run of equal latencies with one ObserveNsN call;
 //   - snapshots must be mergeable and expressible as a Prometheus
 //     `histogram` family (cumulative buckets, _sum, _count).
 //
@@ -24,6 +25,8 @@ package obs
 
 import (
 	"math"
+	"math/big"
+	"math/bits"
 	"sync/atomic"
 	"time"
 )
@@ -44,10 +47,58 @@ const (
 // boundsS[i] = 1µs · 2^((i+1)/4).
 var boundsS [NumBounds]float64
 
+// thrNs[i] = floor(bound[i] in ns) = floor(1000·2^((i+1)/4)), exactly.
+// An integer ns satisfies ns <= bound[i] iff ns <= thrNs[i], so the
+// bucket lookup never touches floating point.
+var thrNs [NumBounds]int64
+
+// subBits splits every binary octave [2^(b-1), 2^b) into 8 sub-ranges
+// keyed by the 3 bits below the leading one. Each sub-range spans a ratio
+// of at most 9/8 < 2^(1/4), so it contains at most one threshold and the
+// bucket of any ns in it is its first bucket or the one after.
+const subBits = 3
+
+// subBase[b<<subBits|m] is the bucket of the smallest ns in sub-range m
+// of octave b. Only octaves strictly between thrNs[0] and the last
+// threshold are read.
+var subBase [64 << subBits]uint8
+
 func init() {
 	for i := range boundsS {
 		boundsS[i] = (loNs / 1e9) * math.Pow(2, float64(i+1)/bucketsPerOctave)
+		thrNs[i] = floorBoundNs(i + 1)
 	}
+	for b := bits.Len64(uint64(thrNs[0])); b <= bits.Len64(uint64(thrNs[NumBounds-1])); b++ {
+		for m := 0; m < 1<<subBits; m++ {
+			lo := int64(1)<<(b-1) | int64(m)<<(b-1-subBits)
+			i := 0
+			for i < NumBounds && lo > thrNs[i] {
+				i++
+			}
+			subBase[b<<subBits|m] = uint8(i)
+		}
+	}
+}
+
+// floorBoundNs returns floor(loNs·2^(j/4)): the largest t with
+// t^4 <= loNs^4·2^j. The float estimate is within one of it; the exact
+// integer check settles the powers of two and any near-integer bound.
+func floorBoundNs(j int) int64 {
+	lim := new(big.Int).Lsh(big.NewInt(loNs*loNs*loNs*loNs), uint(j))
+	fits := func(t int64) bool {
+		x := big.NewInt(t)
+		x.Mul(x, x)
+		x.Mul(x, x)
+		return x.Cmp(lim) <= 0
+	}
+	t := int64(loNs * math.Pow(2, float64(j)/bucketsPerOctave))
+	for !fits(t) {
+		t--
+	}
+	for fits(t + 1) {
+		t++
+	}
+	return t
 }
 
 // Bounds returns the finite bucket upper bounds in seconds, ascending.
@@ -56,16 +107,19 @@ func Bounds() []float64 { return boundsS[:] }
 
 // bucketIdx maps a duration in nanoseconds to its bin: the smallest i with
 // ns <= bound[i], or NumBounds (the overflow bin) beyond the last bound.
+// Two range checks, one table load keyed by the octave and the 3 bits
+// below the leading one, and one threshold compare.
 func bucketIdx(ns int64) int {
-	if ns <= loNs {
+	if ns <= thrNs[0] {
 		return 0
 	}
-	i := int(math.Ceil(math.Log2(float64(ns)/loNs) * bucketsPerOctave))
-	// ns <= loNs·2^(i/4) = bound[i-1], and (i-1) is the smallest such
-	// index because ceil is tight.
-	i--
-	if i >= NumBounds {
+	if ns > thrNs[NumBounds-1] {
 		return NumBounds
+	}
+	b := bits.Len64(uint64(ns))
+	i := int(subBase[b<<subBits|int(ns>>(b-1-subBits))&(1<<subBits-1)])
+	if ns > thrNs[i] {
+		i++
 	}
 	return i
 }
@@ -88,12 +142,24 @@ func (h *Histogram) Observe(d time.Duration) { h.ObserveNs(int64(d)) }
 // the observation is never lost.
 //
 //enduratrace:zeroalloc
-func (h *Histogram) ObserveNs(ns int64) {
+func (h *Histogram) ObserveNs(ns int64) { h.ObserveNsN(ns, 1) }
+
+// ObserveNsN records n observations of one duration with a single bucket
+// lookup and two atomic adds. The histogram afterwards is bit-for-bit what
+// n ObserveNs(ns) calls leave (the sum wraps the same way), which is what
+// lets the serve path observe a run of equal latencies at once. n <= 0
+// records nothing.
+//
+//enduratrace:zeroalloc
+func (h *Histogram) ObserveNsN(ns int64, n int) {
+	if n <= 0 {
+		return
+	}
 	if ns < 1 {
 		ns = 1
 	}
-	h.sumNs.Add(ns)
-	h.bins[bucketIdx(ns)].Add(1)
+	h.sumNs.Add(ns * int64(n))
+	h.bins[bucketIdx(ns)].Add(uint64(n))
 }
 
 // Snapshot returns a point-in-time copy of the histogram. Concurrent

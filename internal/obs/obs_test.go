@@ -2,10 +2,31 @@ package obs
 
 import (
 	"math"
+	"math/big"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 )
+
+// refBucket is the definition bucketIdx implements, in exact integer
+// arithmetic: the smallest i with ns <= 1000·2^((i+1)/4), i.e. with
+// ns^4 <= 1000^4·2^(i+1), or NumBounds when no bound covers ns.
+func refBucket(ns int64) int {
+	if ns <= 0 {
+		return 0
+	}
+	x := big.NewInt(ns)
+	x.Mul(x, x)
+	x.Mul(x, x)
+	for i := 0; i < NumBounds; i++ {
+		lim := new(big.Int).Lsh(big.NewInt(1e12), uint(i+1))
+		if x.Cmp(lim) <= 0 {
+			return i
+		}
+	}
+	return NumBounds
+}
 
 // TestBucketIdx pins the bucket mapping: every observation must land in
 // the smallest bucket whose bound is >= the value, out-of-range values in
@@ -15,38 +36,51 @@ func TestBucketIdx(t *testing.T) {
 		ns   int64
 		want int
 	}{
+		{math.MinInt64, 0},   // clock glitch → first bin
 		{0, 0},               // clock glitch → first bin
 		{1, 0},               // 1ns → first bin
-		{1000, 0},            // exactly 1µs = bound[0]
-		{1200, 1},            // above bound[0] (1.19µs), under bound[1] (1.41µs)
-		{2000, 4},            // 2µs = bound[3]·2^(1/4)... exactly one octave up: bound[3]=2µs
+		{1000, 0},            // exactly 1µs, under bound[0] (1.19µs)
+		{1189, 0},            // floor(bound[0])
+		{1190, 1},            // just above bound[0], under bound[1] (1.41µs)
+		{2000, 3},            // exactly bound[3] = 1µs·2^(4/4)
+		{2001, 4},            // just above it
+		{16_777_216_000, 95}, // exactly the last bound, 1µs·2^24
+		{16_777_216_001, NumBounds},
 		{1 << 62, NumBounds}, // far beyond the last bound → overflow bin
+		{math.MaxInt64, NumBounds},
 	} {
-		got := bucketIdx(tc.ns)
-		if tc.ns == 2000 {
-			// 2µs is exactly bound[3] = 1µs·2^(4/4); allow for the float
-			// log landing on either side of the exact power.
-			if got != 3 && got != 4 {
-				t.Errorf("bucketIdx(%d) = %d, want 3 or 4", tc.ns, got)
-			}
-			continue
-		}
-		if got != tc.want {
+		if got := bucketIdx(tc.ns); got != tc.want {
 			t.Errorf("bucketIdx(%d) = %d, want %d", tc.ns, got, tc.want)
 		}
 	}
 
-	// Invariant over a sweep: the chosen bucket's bound covers the value
-	// and the previous bound does not (modulo float slack at exact powers).
+	// Against the exact math/big definition at every point where either
+	// could change value: each integer bound and the integer after it,
+	// and both sides of every sub-octave edge the lookup table is keyed
+	// on. Between those points both are constant, so agreement here is
+	// agreement everywhere.
+	check := func(ns int64) {
+		t.Helper()
+		if got, want := bucketIdx(ns), refBucket(ns); got != want {
+			t.Fatalf("bucketIdx(%d) = %d, exact reference %d", ns, got, want)
+		}
+	}
+	for i := 0; i < NumBounds; i++ {
+		if got := float64(thrNs[i]) / 1e9; math.Abs(got-boundsS[i]) > 1e-9*boundsS[i]+1e-9 {
+			t.Fatalf("thrNs[%d] = %d ns, float bound %g s", i, thrNs[i], boundsS[i])
+		}
+		check(thrNs[i])
+		check(thrNs[i] + 1)
+	}
+	for b := 4; b < 63; b++ {
+		for m := int64(0); m < 1<<subBits; m++ {
+			lo := int64(1)<<(b-1) | m<<(b-1-subBits)
+			check(lo - 1)
+			check(lo)
+		}
+	}
 	for ns := int64(1); ns < int64(40*time.Second); ns = ns*3/2 + 1 {
-		i := bucketIdx(ns)
-		v := float64(ns) / 1e9
-		if i < NumBounds && v > boundsS[i]*(1+1e-9) {
-			t.Fatalf("ns=%d: bucket %d bound %g does not cover value", ns, i, boundsS[i])
-		}
-		if i > 0 && i <= NumBounds && v < boundsS[i-1]*(1-1e-9) {
-			t.Fatalf("ns=%d: previous bound %g already covers value, bucket %d too high", ns, boundsS[i-1], i)
-		}
+		check(ns)
 	}
 }
 
@@ -92,6 +126,42 @@ func TestHistogramCountSumQuantile(t *testing.T) {
 	}
 }
 
+// TestObserveNsNMatchesRepeatedObserveNs: n observations of one value
+// recorded at once must leave exactly the snapshot n single observations
+// leave, including clamped non-positive values, the overflow bin, n == 0
+// and a sum that wraps.
+func TestObserveNsNMatchesRepeatedObserveNs(t *testing.T) {
+	var runs, singles Histogram
+	for _, tc := range []struct {
+		ns int64
+		n  int
+	}{
+		{0, 3},
+		{-5, 2},
+		{math.MinInt64, 1},
+		{1, 7},
+		{1189, 4},
+		{1190, 4},
+		{2000, 9},
+		{137_000, 1000},
+		{int64(20 * time.Second), 5}, // overflow bin
+		{123_456, 0},                 // records nothing
+		{-1, -3},                     // records nothing
+		{math.MaxInt64 / 3, 4},       // the sum wraps
+	} {
+		runs.ObserveNsN(tc.ns, tc.n)
+		for i := 0; i < tc.n; i++ {
+			singles.ObserveNs(tc.ns)
+		}
+		if a, b := runs.Snapshot(), singles.Snapshot(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("after ObserveNsN(%d, %d): snapshot %+v, per-observation %+v", tc.ns, tc.n, a, b)
+		}
+	}
+	if s := runs.Snapshot(); s.Count() != 3+2+1+7+4+4+9+1000+5+4 || s.Counts[NumBounds] != 5+4 {
+		t.Fatalf("count %d, overflow %d", s.Count(), s.Counts[NumBounds])
+	}
+}
+
 func TestHistogramOverflowVisible(t *testing.T) {
 	var h Histogram
 	h.Observe(100 * time.Second) // beyond the last bound (~16.8s)
@@ -122,7 +192,7 @@ func TestSnapshotMerge(t *testing.T) {
 }
 
 // TestHistogramConcurrentObserveSnapshot is the race gate: many writers
-// hammering Observe while readers take snapshots must be race-clean (run
+// hammering Observe and ObserveNsN while readers take snapshots must be race-clean (run
 // under -race) and lose no observations.
 func TestHistogramConcurrentObserveSnapshot(t *testing.T) {
 	var h Histogram
@@ -152,12 +222,22 @@ func TestHistogramConcurrentObserveSnapshot(t *testing.T) {
 			}
 		}()
 	}
+	// Half the writers observe one value at a time, half in runs of
+	// varying length; either way each writer records perW observations.
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < perW; i++ {
-				h.ObserveNs(int64(w*1000 + i + 1))
+			if w%2 == 0 {
+				for i := 0; i < perW; i++ {
+					h.ObserveNs(int64(w*1000 + i + 1))
+				}
+				return
+			}
+			for i := 0; i < perW; {
+				n := min(1+i%13, perW-i)
+				h.ObserveNsN(int64(w*1000+i+1), n)
+				i += n
 			}
 		}(w)
 	}
@@ -193,6 +273,11 @@ func TestObserveZeroAlloc(t *testing.T) {
 		h.Observe(137 * time.Microsecond)
 	}); allocs != 0 {
 		t.Fatalf("Observe allocates %v times per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		h.ObserveNsN(137_000, 64)
+	}); allocs != 0 {
+		t.Fatalf("ObserveNsN allocates %v times per call, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(1000, func() {
 		_ = Now()

@@ -2,12 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"math/rand/v2"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"enduratrace/internal/core"
+	"enduratrace/internal/mediasim"
 	"enduratrace/internal/obs"
 	"enduratrace/internal/trace"
 )
@@ -66,7 +71,7 @@ func TestLoggerTimestamps(t *testing.T) {
 }
 
 // TestQueuePathZeroAlloc is the allocation gate for the instrumented
-// queue: PushTimed, Next (with queue-wait observation and arrival
+// queue: PushBatch, Next (with queue-wait observation and arrival
 // tracking) and the decision-side drain must not allocate in steady
 // state — latency accounting may not cost the event path its
 // allocation-free property.
@@ -74,19 +79,16 @@ func TestQueuePathZeroAlloc(t *testing.T) {
 	q := newEventQueue(64, Block)
 	var pipe obs.Pipeline
 	q.instrument(&pipe)
-	ev := trace.Event{TS: time.Millisecond, Type: 1, Arg: 64}
+	evs := []trace.Event{{TS: time.Millisecond, Type: 1, Arg: 64}}
 
 	var seq uint64
 	step := func() {
 		seq++
-		q.PushTimed(ev, obs.Now(), 500, seq, false)
+		q.PushBatch(evs, obs.Now(), 500, seq, 0)
 		if _, err := q.Next(); err != nil {
 			t.Fatal(err)
 		}
-		now := obs.Now()
-		for _, enq := range q.takeArrivals() {
-			pipe.E2E.ObserveNs(now - enq)
-		}
+		q.observeArrivals(obs.Now())
 	}
 	step() // warm the cond/rings
 	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
@@ -97,6 +99,166 @@ func TestQueuePathZeroAlloc(t *testing.T) {
 	}
 	if got := pipe.E2E.Snapshot().Count(); got == 0 {
 		t.Error("e2e histogram observed nothing")
+	}
+}
+
+// perEventObserver observes every stage value on its own: one ObserveNs
+// per event per stage, with every popped event's arrival time held until
+// the next decision. It is the reference the per-run path must reproduce
+// exactly.
+type perEventObserver struct {
+	pipe     obs.Pipeline
+	arrivals []int64
+}
+
+func (r *perEventObserver) decoded(share int64, n int) {
+	for i := 0; i < n; i++ {
+		r.pipe.Decode.ObserveNs(share)
+	}
+}
+
+func (r *perEventObserver) popped(now int64, enqs []int64) {
+	for _, enq := range enqs {
+		r.pipe.QueueWait.ObserveNs(now - enq)
+		r.arrivals = append(r.arrivals, enq)
+	}
+}
+
+func (r *perEventObserver) decided(now int64) {
+	for _, enq := range r.arrivals {
+		r.pipe.E2E.ObserveNs(now - enq)
+	}
+	r.arrivals = r.arrivals[:0]
+}
+
+// TestPerRunObservationMatchesPerEvent records one stream's decode shares,
+// arrival times, pops and decisions, feeds them through the serve path's
+// per-run observation (ObserveNsN per ingest batch, the instrumented
+// queue's ReadBatch/Next, observeArrivals) and through the per-event
+// reference, and requires the two pipelines' snapshots to be identical.
+// The stream has batches split across pops, several batches per pop,
+// single-event pops through Next, waits that clamp (arrival stamped after
+// the pop) or overflow, and decisions at arbitrary points.
+func TestPerRunObservationMatchesPerEvent(t *testing.T) {
+	rng := rand.New(rand.NewPCG(12, 34))
+	var pipe obs.Pipeline
+	var ref perEventObserver
+	q := newEventQueue(4096, Block)
+	q.instrument(&pipe)
+
+	var queued []int64 // arrival times of queued events, FIFO
+	dst := make([]trace.Event, 512)
+	offsets := []int64{-5_000, 0, 1, 999, 2_000, 250_000, int64(30 * time.Second)}
+	pop := func() {
+		if rng.IntN(4) == 0 {
+			if _, err := q.Next(); err != nil {
+				t.Fatal(err)
+			}
+			_, now := q.LastTimes()
+			ref.popped(now, queued[:1])
+			queued = queued[1:]
+			return
+		}
+		k, err := q.ReadBatch(dst[:1+rng.IntN(len(dst))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, now := q.LastTimes()
+		ref.popped(now, queued[:k])
+		queued = queued[k:]
+	}
+	decide := func() {
+		now := obs.Now()
+		q.observeArrivals(now)
+		ref.decided(now)
+	}
+
+	var seq uint64
+	var sent int
+	for step := 0; step < 2000; step++ {
+		n := 1 + rng.IntN(256)
+		evs := make([]trace.Event, n)
+		for i := range evs {
+			evs[i] = trace.Event{TS: time.Duration(seq) + time.Duration(i+1), Type: trace.EventType(i % 5)}
+		}
+		enq := obs.Now() - offsets[rng.IntN(len(offsets))] - rng.Int64N(1_000_000)
+		share := rng.Int64N(3_000) - 3 // a few negative shares clamp too
+		pipe.Decode.ObserveNsN(share, n)
+		ref.decoded(share, n)
+		if !q.PushBatch(evs, enq, share, seq+1, 64) {
+			t.Fatal("PushBatch returned false on an open queue")
+		}
+		for range n {
+			queued = append(queued, enq)
+		}
+		seq += uint64(n)
+		sent += n
+		for len(queued) > 3000 || (len(queued) > 0 && rng.IntN(3) == 0) {
+			pop()
+			if rng.IntN(5) == 0 {
+				decide()
+			}
+		}
+	}
+	for len(queued) > 0 {
+		pop()
+	}
+	decide()
+
+	got, want := pipe.Snapshot(), ref.pipe.Snapshot()
+	for _, st := range []struct {
+		name      string
+		got, want obs.Snapshot
+	}{
+		{"decode", got.Decode, want.Decode},
+		{"queue-wait", got.QueueWait, want.QueueWait},
+		{"e2e", got.E2E, want.E2E},
+	} {
+		if !reflect.DeepEqual(st.got, st.want) {
+			t.Errorf("%s: per-run snapshot %+v, per-event %+v", st.name, st.got, st.want)
+		}
+		if c := st.got.Count(); c != uint64(sent) {
+			t.Errorf("%s: count %d, want %d events", st.name, c, sent)
+		}
+	}
+}
+
+// TestE2ECountsEveryEventOfAHugeWindow: with count windows of 100 000
+// events, one window holds more events than the arrival buffer holds
+// runs, and the e2e histogram must still count every event scored. The
+// selftest asserts decode, queue wait and e2e _count against the books.
+func TestE2ECountsEveryEventOfAHugeWindow(t *testing.T) {
+	const windowEvents = 100_000
+	cfg := core.NewConfig(mediasim.NumEventTypes)
+	cfg.WindowDuration = 0
+	cfg.WindowCount = windowEvents
+	cfg.K = 3
+	cfg.FastKernels = true
+	ref := mediasim.DefaultConfig()
+	ref.Duration = 500 * time.Second // ~1 kHz: five reference windows
+	ref.Seed = 9
+	sim, err := mediasim.New(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	learned, err := core.Learn(cfg, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Selftest(context.Background(), SelftestOptions{
+		Cfg:      cfg,
+		Learned:  learned,
+		Clients:  1,
+		Duration: 150 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.EventsSent <= windowEvents {
+		t.Fatalf("client sent %d events, want more than one %d-event window", rep.EventsSent, windowEvents)
+	}
+	if rep.EventsObserved != uint64(rep.EventsSent) {
+		t.Fatalf("e2e histogram observed %d events, %d scored", rep.EventsObserved, rep.EventsSent)
 	}
 }
 

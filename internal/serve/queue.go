@@ -93,13 +93,13 @@ type eventQueue struct {
 	lastPopNs  atomic.Int64
 
 	// Consumer-side state, owned by the scoring goroutine (the only
-	// caller of Next, ReadBatch, takeArrivals and takeFlight): the enqueue
-	// times of events popped since the last window decision (drained into
-	// the E2E histogram by the decision callback), the most recent
-	// flight-sampled event awaiting its window's decision, and the scratch
-	// metadata slice ReadBatch copies into under the lock so the
-	// per-event observation work can happen after unlock.
-	pending     []int64
+	// caller of Next, ReadBatch, observeArrivals and takeFlight): the
+	// arrival runs of events popped since the last window decision
+	// (drained into the E2E histogram by the decision callback), the most
+	// recent flight-sampled event awaiting its window's decision, and the
+	// scratch metadata slice ReadBatch copies into under the lock so the
+	// observation work can happen after unlock.
+	pending     []arrivalRun
 	flightSlot  poppedMeta
 	hasFlight   bool
 	flightSkips int
@@ -120,18 +120,26 @@ type poppedMeta struct {
 	waitNs int64 // time spent queued
 }
 
-// pendingCap bounds the consumer-side arrival buffer: a pathological
-// window holding more events than this loses the excess from the E2E
-// histogram (the stage histograms still see every event). 64k events per
-// window is ~25× the default pipeline's worst case.
+// arrivalRun is n consecutively popped events that share one enqueue
+// timestamp. Every event of one PushBatch carries the same enqNs, so a
+// window's arrivals are a handful of runs however many events it holds.
+type arrivalRun struct {
+	enqNs int64
+	n     int
+}
+
+// pendingCap bounds the consumer-side arrival buffer in runs, not events:
+// a window of any size stays exact unless its events arrived in more than
+// 64k separate pushes, and only then does the excess go missing from the
+// E2E histogram (the other stage histograms still see every event).
 const pendingCap = 65536
 
 // instrument attaches the per-model stage histograms and allocates the
-// metadata ring. Must be called before the first Push.
+// metadata ring. Must be called before the first PushBatch.
 func (q *eventQueue) instrument(pipe *obs.Pipeline) {
 	q.pipe = pipe
 	q.meta = make([]evMeta, len(q.buf))
-	q.pending = make([]int64, 0, 256)
+	q.pending = make([]arrivalRun, 0, 64)
 	now := obs.Now()
 	q.lastPushNs.Store(now)
 	q.lastPopNs.Store(now)
@@ -147,49 +155,6 @@ func newEventQueue(capacity int, policy Backpressure) *eventQueue {
 	return q
 }
 
-// Push enqueues ev according to the backpressure policy. It returns false
-// once the queue is closed (shutdown), telling the ingester to stop.
-func (q *eventQueue) Push(ev trace.Event) bool {
-	return q.PushTimed(ev, obs.Now(), 0, 0, false)
-}
-
-// PushTimed is Push carrying the event's instrumentation: its arrival
-// timestamp (obs.Now at decode completion), the decode duration, the
-// stream ordinal and whether the flight recorder sampled it. On an
-// uninstrumented queue the extras are simply dropped.
-//
-//enduratrace:zeroalloc
-func (q *eventQueue) PushTimed(ev trace.Event, enqNs, decodeNs int64, seq uint64, flight bool) bool {
-	q.mu.Lock()
-	if q.policy == Block {
-		for q.n == len(q.buf) && !q.closed {
-			q.notFull.Wait()
-		}
-	}
-	if q.closed {
-		q.mu.Unlock()
-		return false
-	}
-	if q.n == len(q.buf) { // DropOldest: make room
-		q.head = (q.head + 1) % len(q.buf)
-		q.n--
-		q.dropped++
-	}
-	i := (q.head + q.n) % len(q.buf)
-	q.buf[i] = ev
-	if q.meta != nil {
-		q.meta[i] = evMeta{enqNs: enqNs, decodeNs: decodeNs, seq: seq, flight: flight}
-		q.lastPushNs.Store(enqNs)
-	}
-	q.n++
-	// Count before unlocking: the consumer may pop (and bump scored) the
-	// instant the lock drops, and scored must never exceed ingested.
-	q.ingested++
-	q.mu.Unlock()
-	q.notEmpty.Signal()
-	return true
-}
-
 // PushBatch enqueues evs under one mutex acquisition instead of one per
 // event, filling the metadata ring in the same critical section: event i
 // carries sequence firstSeq+i, the shared arrival timestamp enqNs (the
@@ -197,9 +162,8 @@ func (q *eventQueue) PushTimed(ev trace.Event, enqNs, decodeNs int64, seq uint64
 // per-event decode share decodeNsPerEv. Under Block the batch is admitted
 // in capacity-sized chunks, waking the consumer between chunks, so a
 // batch larger than the queue cannot deadlock; under DropOldest each
-// admitted event evicts the oldest exactly as Push would. Returns false
-// once the queue is closed — events admitted before the close stay
-// counted and consumable.
+// admitted event evicts the oldest. Returns false once the queue is
+// closed — events admitted before the close stay counted and consumable.
 //
 //enduratrace:zeroalloc
 func (q *eventQueue) PushBatch(evs []trace.Event, enqNs, decodeNsPerEv int64, firstSeq uint64, flightEvery uint64) bool {
@@ -288,21 +252,10 @@ func (q *eventQueue) Next() (trace.Event, error) {
 	q.notFull.Signal()
 	if q.meta != nil {
 		now := obs.Now()
-		wait := now - m.enqNs
-		q.pipe.QueueWait.ObserveNs(wait)
 		q.lastPopNs.Store(now)
-		// Arrival times accumulate until the next window decision drains
-		// them into the E2E histogram; the cap bounds a pathological
-		// window (the stage histograms above still saw the event).
-		if len(q.pending) < pendingCap {
-			q.pending = append(q.pending, m.enqNs)
-		}
+		q.popped(now, m.enqNs, 1)
 		if m.flight {
-			if q.hasFlight {
-				q.flightSkips++ // previous sample never saw its decision
-			}
-			q.flightSlot = poppedMeta{evMeta: m, waitNs: wait}
-			q.hasFlight = true
+			q.noteFlight(m, now)
 		}
 	}
 	return ev, nil
@@ -312,8 +265,9 @@ func (q *eventQueue) Next() (trace.Event, error) {
 // every immediately available event (up to len(dst)) under one mutex
 // acquisition, blocking only when the queue is empty and open. Counter
 // discipline matches Next — scored moves inside the lock — while the
-// per-event observation work (QueueWait, pending arrivals, flight slot)
-// happens after unlock on metadata copied out under the lock.
+// observation work happens after unlock on metadata copied out under the
+// lock: QueueWait and the pending arrivals once per run of equal enqueue
+// times, the flight slot per sampled event.
 //
 //enduratrace:zeroalloc
 func (q *eventQueue) ReadBatch(dst []trace.Event) (int, error) {
@@ -352,39 +306,61 @@ func (q *eventQueue) ReadBatch(dst []trace.Event) (int, error) {
 	if metas != nil {
 		now := obs.Now()
 		q.lastPopNs.Store(now)
-		for i := range metas {
-			m := metas[i]
-			wait := now - m.enqNs
-			q.pipe.QueueWait.ObserveNs(wait)
-			if len(q.pending) < pendingCap {
-				q.pending = append(q.pending, m.enqNs)
+		for i := 0; i < len(metas); {
+			enq := metas[i].enqNs
+			j := i + 1
+			for j < len(metas) && metas[j].enqNs == enq {
+				j++
 			}
-			if m.flight {
-				if q.hasFlight {
-					q.flightSkips++ // previous sample never saw its decision
+			q.popped(now, enq, j-i)
+			for ; i < j; i++ {
+				if metas[i].flight {
+					q.noteFlight(metas[i], now)
 				}
-				q.flightSlot = poppedMeta{evMeta: m, waitNs: wait}
-				q.hasFlight = true
 			}
 		}
 	}
 	return k, nil
 }
 
-// takeArrivals hands the scoring goroutine the enqueue times of every
-// event popped since the previous call, for E2E observation at a window
-// decision. The returned slice is only valid until the next Next call;
-// observe it immediately.
-func (q *eventQueue) takeArrivals() []int64 {
-	a := q.pending
+// popped observes the queue wait of n events enqueued at enqNs and popped
+// at now, and appends them to the pending arrivals: onto the last run
+// when it shares enqNs (a batch split across pops), else as a new run.
+// Past pendingCap runs the arrivals are dropped; QueueWait still saw them.
+func (q *eventQueue) popped(now, enqNs int64, n int) {
+	q.pipe.QueueWait.ObserveNsN(now-enqNs, n)
+	if last := len(q.pending) - 1; last >= 0 && q.pending[last].enqNs == enqNs {
+		q.pending[last].n += n
+	} else if len(q.pending) < pendingCap {
+		q.pending = append(q.pending, arrivalRun{enqNs: enqNs, n: n})
+	}
+}
+
+// noteFlight parks a flight-sampled pop until its window's decision,
+// counting a previous sample that never saw its decision as skipped.
+func (q *eventQueue) noteFlight(m evMeta, now int64) {
+	if q.hasFlight {
+		q.flightSkips++
+	}
+	q.flightSlot = poppedMeta{evMeta: m, waitNs: now - m.enqNs}
+	q.hasFlight = true
+}
+
+// observeArrivals records into the E2E histogram the latency from arrival
+// to now of every event popped since the previous call, one observation
+// per arrival run. The scoring goroutine calls it at each window decision,
+// which is what makes E2E's _count equal the number of events scored.
+func (q *eventQueue) observeArrivals(now int64) {
+	for _, r := range q.pending {
+		q.pipe.E2E.ObserveNsN(now-r.enqNs, r.n)
+	}
 	q.pending = q.pending[:0]
-	return a
 }
 
 // takeFlight returns the most recent flight-sampled pop since the
 // previous call, if any, plus how many earlier samples were overwritten
 // before their window's decision (skipped). Consumer-side only, like
-// takeArrivals.
+// observeArrivals.
 func (q *eventQueue) takeFlight() (m poppedMeta, skipped int, ok bool) {
 	skipped = q.flightSkips
 	q.flightSkips = 0

@@ -59,8 +59,10 @@ func TestEventQueueCountersConsistentUnderRace(t *testing.T) {
 		}
 	}()
 
+	one := make([]trace.Event, 1)
 	for i := 0; i < nEvents; i++ {
-		if !q.Push(trace.Event{TS: time.Duration(i), Type: 1}) {
+		one[0] = trace.Event{TS: time.Duration(i), Type: 1}
+		if !q.PushBatch(one, 0, 0, uint64(i+1), 0) {
 			t.Error("queue closed under the producer")
 			break
 		}
@@ -103,8 +105,10 @@ func TestEventQueueBlockPolicyNeverDrops(t *testing.T) {
 			n++
 		}
 	}()
+	one := make([]trace.Event, 1)
 	for i := 0; i < nEvents; i++ {
-		if !q.Push(trace.Event{TS: time.Duration(i)}) {
+		one[0] = trace.Event{TS: time.Duration(i)}
+		if !q.PushBatch(one, 0, 0, uint64(i+1), 0) {
 			t.Fatal("queue closed under the producer")
 		}
 	}

@@ -15,11 +15,11 @@ func evEq(a, b trace.Event) bool {
 	return a.TS == b.TS && a.Type == b.Type && a.Arg == b.Arg
 }
 
-// TestPushBatchMatchesPushTimed: a batch push must leave the queue in the
-// same observable state as the equivalent sequence of per-event pushes —
-// same events in the same order, same sequence numbers, same flight
-// samples, balanced books.
-func TestPushBatchMatchesPushTimed(t *testing.T) {
+// TestPushBatchMatchesSingleEventPushes: a batch push must leave the queue
+// in the same observable state as the equivalent sequence of one-event
+// pushes — same events in the same order, same sequence numbers, same
+// flight samples, balanced books.
+func TestPushBatchMatchesSingleEventPushes(t *testing.T) {
 	const n = 100
 	const flightEvery = 8
 	evs := make([]trace.Event, n)
@@ -42,9 +42,8 @@ func TestPushBatchMatchesPushTimed(t *testing.T) {
 
 	qa := newEventQueue(n, Block)
 	qa.instrument(&obs.Pipeline{})
-	for i, ev := range evs {
-		seq := uint64(i + 1)
-		qa.PushTimed(ev, obs.Now(), 10, seq, seq%flightEvery == 0)
+	for i := range evs {
+		qa.PushBatch(evs[i:i+1], obs.Now(), 10, uint64(i+1), flightEvery)
 	}
 	qa.Close()
 	wantEvs, wantFlights := drain(qa)
@@ -190,7 +189,7 @@ func TestPushBatchReadBatchCountersConsistentUnderRace(t *testing.T) {
 		for {
 			k, err := q.ReadBatch(dst)
 			consumed += int64(k)
-			q.takeArrivals()
+			q.observeArrivals(obs.Now())
 			q.takeFlight()
 			if err == io.EOF {
 				return
@@ -253,7 +252,7 @@ func TestQueueBatchZeroAllocSteadyState(t *testing.T) {
 			}
 			popped += k
 		}
-		q.takeArrivals()
+		q.observeArrivals(obs.Now())
 		q.takeFlight()
 	}
 	round() // warm the pop scratch and pending buffers

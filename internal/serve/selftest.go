@@ -287,10 +287,13 @@ func Selftest(ctx context.Context, opts SelftestOptions) (*SelftestReport, error
 	if err != nil {
 		return nil, fmt.Errorf("serve: selftest /metrics: %w", err)
 	}
-	// Merge every model's e2e histogram for the latency report. All
-	// streams have drained and closed, so the snapshot is final.
-	var e2e obs.Snapshot
+	// Merge every model's stage histograms for the latency report and the
+	// latency books. All streams have drained and closed, so the
+	// snapshots are final.
+	var decode, queueWait, e2e obs.Snapshot
 	for _, p := range srv.pipelines() {
+		decode.Merge(p.Decode.Snapshot())
+		queueWait.Merge(p.QueueWait.Snapshot())
 		e2e.Merge(p.E2E.Snapshot())
 	}
 
@@ -322,17 +325,24 @@ func Selftest(ctx context.Context, opts SelftestOptions) (*SelftestReport, error
 	rep.LatencyP99Ms = e2e.Quantile(0.99) * 1e3
 	rep.LatencyP999Ms = e2e.Quantile(0.999) * 1e3
 
-	// Latency books: the e2e histogram observes each event once, at the
-	// decision on its window — its count must equal the events sent (short
-	// only by counted drops under DropOldest).
-	if opts.Backpressure == DropOldest && stats.DroppedEvents > 0 {
-		if rep.EventsObserved > uint64(rep.EventsSent) {
-			return rep, fmt.Errorf("serve: selftest e2e histogram observed %d events > %d sent",
-				rep.EventsObserved, rep.EventsSent)
+	// Latency books: every stage observes each event exactly once, in
+	// runs of equal values — decode as it is ingested, queue wait as it is
+	// popped, e2e at the decision on its window. Decode's count must equal
+	// the events sent; queue wait's and e2e's the events scored, which is
+	// the events sent less the counted drops (none under Block).
+	scored := uint64(rep.EventsSent - stats.DroppedEvents)
+	for _, b := range []struct {
+		stage     string
+		got, want uint64
+	}{
+		{"decode", decode.Count(), uint64(rep.EventsSent)},
+		{"queue-wait", queueWait.Count(), scored},
+		{"e2e", rep.EventsObserved, scored},
+	} {
+		if b.got != b.want {
+			return rep, fmt.Errorf("serve: selftest %s histogram observed %d events, want %d (sent %d, dropped %d)",
+				b.stage, b.got, b.want, rep.EventsSent, stats.DroppedEvents)
 		}
-	} else if rep.EventsObserved != uint64(rep.EventsSent) {
-		return rep, fmt.Errorf("serve: selftest e2e histogram observed %d events, clients sent %d",
-			rep.EventsObserved, rep.EventsSent)
 	}
 
 	// The cross-check: nothing sent may be missing from the books. Under

@@ -586,16 +586,17 @@ func (s *Server) handleConn(conn net.Conn) {
 			// the socket only until the first event of a batch is available:
 			// the histogram honestly includes network wait (an idle stream
 			// shows large decode latencies), amortised evenly across the
-			// batch. Byte accounting stays per-event and exact.
+			// batch: n equal shares, recorded as one run. Byte accounting
+			// stays per-event and exact.
 			t0 := obs.Now()
 			var n int
 			n, err = fr.ReadBatch(evBuf)
 			if n > 0 {
 				now := obs.Now()
 				share := (now - t0) / int64(n)
+				pipe.Decode.ObserveNsN(share, n)
 				var batchBytes int64
 				for i := 0; i < n; i++ {
-					pipe.Decode.ObserveNs(share)
 					batchBytes += int64(traceio.EncodedSize(evBuf[i], prev, first))
 					prev, first = evBuf[i].TS, false
 				}
@@ -646,9 +647,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		// window: its end-to-end latency is arrival → this decision. This
 		// is what makes the e2e histogram's _count equal the number of
 		// events scored (the selftest asserts exactly that).
-		for _, enq := range st.q.takeArrivals() {
-			pipe.E2E.ObserveNs(now - enq)
-		}
+		st.q.observeArrivals(now)
 		if s.flight != nil {
 			fm, skipped, ok := st.q.takeFlight()
 			for i := 0; i < skipped; i++ {
@@ -703,7 +702,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	// Close the queue before joining the ingester: if Run exited early (a
 	// sink error), the ingest goroutine may be parked in a Block-policy
-	// Push with nobody left to consume — Close (idempotent) unparks it.
+	// PushBatch with nobody left to consume — Close (idempotent) unparks it.
 	st.q.Close()
 	ierr := <-ingestErr
 	// The ingest goroutine has exited: the reader (and its pooled buffers)

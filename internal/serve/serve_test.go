@@ -399,7 +399,7 @@ func (s *failingSink) Record(window.Window) error {
 }
 
 // TestSinkErrorDoesNotDeadlock: when the scorer dies on a sink error, the
-// ingest goroutine must not stay parked forever in a Block-policy Push —
+// ingest goroutine must not stay parked forever in a Block-policy PushBatch —
 // the stream must close (with the error on record) and shutdown must
 // still complete. Regression test for the queue-close-after-Run fix.
 func TestSinkErrorDoesNotDeadlock(t *testing.T) {
@@ -408,7 +408,7 @@ func TestSinkErrorDoesNotDeadlock(t *testing.T) {
 	srv, err := New(Options{
 		Cfg:     cfg,
 		Learned: learned,
-		// A tiny queue so the ingester is certainly blocked in Push when
+		// A tiny queue so the ingester is certainly blocked in PushBatch when
 		// the scorer exits.
 		QueueLen:     8,
 		Backpressure: Block,
